@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 use sidr_coords::Coord;
 use sidr_mapreduce::shuffle_file::{decode_map_output, encode_map_output};
 use sidr_mapreduce::{
-    Counters, FaultKind, FaultPlan, GroupBatch, MapOutputBuilder, MapTaskId, Mapper, MergeIter,
-    MrError, RoutingPlan, Smof3View,
+    check_annotation, map_records, reduce_merged, Counters, FaultKind, FaultPlan, MapOutputBuilder,
+    MapTaskId, MergeIter, MrError, RoutingPlan, Smof3View,
 };
 use sidr_scifile::{DataType, Element, ScincFile};
 
@@ -51,10 +51,6 @@ pub struct ExecOptions {
 /// Sink for the key groups a reduce attempt streams out of its merge
 /// ([`SpecExecutor::run_reduce`]'s `emit` callback).
 pub type GroupSink<'a> = dyn FnMut(&[(Coord, f64)]) -> crate::Result<()> + 'a;
-
-/// Records per [`GroupBatch`] fill after the first group is out —
-/// mirrors the in-process runtime's batch size.
-const REDUCE_BATCH_RECORDS: usize = 4096;
 
 /// What one map attempt produced: per-reducer partitions as encoded
 /// SMOF buffers (only non-empty partitions appear, mirroring the
@@ -141,54 +137,23 @@ impl SpecExecutor {
             .splits
             .get(task)
             .ok_or_else(|| MrError::BadConfig(format!("map {task} out of range")))?;
+        // The worker's straggler sleep is not interruptible: the
+        // coordinator cannot reach into a running attempt, it only
+        // discards a lost racer's reply.
         let fault = self.opts.fault_plan.map_fault(task, attempt);
-        match fault {
-            Some(FaultKind::Straggle { delay_ms }) => {
-                std::thread::sleep(Duration::from_millis(delay_ms));
-            }
-            Some(FaultKind::Fail) => {
-                return Err(MrError::Source(format!(
-                    "injected failure: map {task} attempt {attempt}"
-                ))
-                .into());
-            }
-            _ => {}
+        if let Some(FaultKind::Straggle { delay_ms }) = fault {
+            std::thread::sleep(Duration::from_millis(delay_ms));
         }
-        let source_err_after = match fault {
-            Some(FaultKind::SourceError { after_records }) => Some(after_records),
-            _ => None,
-        };
-        let mut source = ScincRecordSource::<E>::open(&self.file, &self.variable, split)?;
         let mut builder = MapOutputBuilder::new(self.spec.num_reducers);
-        let mut records_in = 0u64;
-        let mut records_out = 0u64;
-        let mut push_err: Option<MrError> = None;
-        use sidr_mapreduce::RecordSource;
-        while let Some((k, v)) = source.next_record()? {
-            if source_err_after.is_some_and(|after| records_in >= after) {
-                return Err(MrError::Source(format!(
-                    "injected transient I/O error: map {task} attempt {attempt} \
-                     after {records_in} records"
-                ))
-                .into());
-            }
-            records_in += 1;
-            self.mapper.map(&k, &v, &mut |k2, v2| {
-                if push_err.is_some() {
-                    return;
-                }
-                // The inherent `SidrPlan::partition` accessor shadows
-                // the trait method; route through the trait.
-                let reducer = RoutingPlan::partition(&self.plan, &k2);
-                if let Err(e) = builder.push(reducer, k2, v2) {
-                    push_err = Some(e);
-                }
-                records_out += 1;
-            });
-            if let Some(e) = push_err {
-                return Err(e.into());
-            }
-        }
+        let (records_in, records_out) = map_records(
+            || ScincRecordSource::<E>::open(&self.file, &self.variable, split),
+            &self.mapper,
+            &self.plan,
+            &mut builder,
+            fault,
+            task,
+            attempt,
+        )?;
         let combiner = self.operator.combiner();
         // Per-attempt scratch counters: the attempt's tallies travel
         // back in the reply, not through process-global state.
@@ -263,44 +228,15 @@ impl SpecExecutor {
                 .then(|| self.plan.expected_raw_count(reducer))
                 .flatten()
         });
-        if let Some(expected) = expected {
-            if raw_total != expected {
-                return Err(MrError::AnnotationMismatch {
-                    reducer,
-                    expected,
-                    actual: raw_total,
-                }
-                .into());
-            }
-        }
-        // Batched handoff, like the in-process runtime: the first
-        // batch is one group (the worker streams it back immediately,
-        // keeping early-result latency), later batches drain the merge
-        // in cache-sized chunks. `emit` still sees one group at a time
-        // — the worker protocol frames groups individually.
+        check_annotation(reducer, expected, raw_total)?;
+        // `emit` sees one group at a time — the worker protocol frames
+        // groups individually — so each group leaves `out` once sent.
         let reducer_fn = OperatorReducer { op: self.operator };
-        let mut group: Vec<(Coord, f64)> = Vec::new();
-        let mut batch: GroupBatch<Coord, f64> = GroupBatch::new();
-        let mut emitted = 0u64;
-        let mut first = true;
-        use sidr_mapreduce::Reducer;
-        loop {
-            let budget = if first { 1 } else { REDUCE_BATCH_RECORDS };
-            if merge.fill_batch(&mut batch, budget) == 0 {
-                break;
-            }
-            first = false;
-            for (key, values) in batch.groups() {
-                group.clear();
-                reducer_fn.reduce(key, values, &mut |v3| {
-                    group.push((key.clone(), v3));
-                    emitted += 1;
-                });
-                if !group.is_empty() {
-                    emit(&group)?;
-                }
-            }
-        }
-        Ok(emitted)
+        let mut out: Vec<(Coord, f64)> = Vec::new();
+        reduce_merged(&mut merge, &reducer_fn, &mut out, |out, _start| {
+            let sent = emit(out);
+            out.clear();
+            sent
+        })
     }
 }

@@ -65,7 +65,8 @@ pub use smof3::Smof3View;
 pub use speculation::{ProgressProbe, SpeculationPolicy};
 pub use split::{InputSplit, MapTaskId, SplitGenerator};
 pub use task::{
-    Combiner, FnMapper, FnReducer, Mapper, MrKey, MrValue, RecordSource, Reducer, SliceRecordSource,
+    check_annotation, map_records, reduce_merged, Combiner, FnMapper, FnReducer, Mapper, MrKey,
+    MrValue, RecordSource, Reducer, SliceRecordSource,
 };
 pub use tier::{PartitionStore, SpillBackend, TierConfig, TierPressure};
 pub use timeline::{reexecuted_maps, spans, TaskEvent, TaskKind, Timeline};

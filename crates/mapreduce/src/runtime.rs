@@ -31,13 +31,13 @@ use crate::executor::{Executor, ReduceSource, RemoteReduceError};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::output::OutputCollector;
 use crate::plan::RoutingPlan;
-use crate::shuffle::{
-    CorruptionMode, Fetched, GroupBatch, MapOutputBuilder, MapOutputFile, MergeIter, ShuffleStore,
-};
-use crate::smof3::Smof3View;
+use crate::shuffle::{CorruptionMode, Fetched, MapOutputBuilder, MergeIter, ShuffleStore};
 use crate::speculation::{ProgressProbe, SpeculationPolicy};
 use crate::split::{InputSplit, MapTaskId};
-use crate::task::{Combiner, Mapper, MrKey, MrValue, RecordSource, Reducer};
+use crate::task::{
+    check_annotation, map_records, reduce_merged, Combiner, Mapper, MrKey, MrValue, RecordSource,
+    Reducer,
+};
 use crate::timeline::{TaskEvent, TaskKind, Timeline};
 use crate::Result;
 
@@ -1357,20 +1357,16 @@ where
     SF: Fn(MapTaskId, &InputSplit) -> Result<S> + Sync,
     S: RecordSource<Key = K1, Value = V1>,
 {
-    // Injected faults for exactly this (task, attempt): a straggler
-    // delays, a failure dies before any work, a source fault flips
-    // the record stream into a transient I/O error mid-read.
+    // Injected faults for exactly this (task, attempt). A straggler
+    // delays here, interruptibly: one whose race is already lost — or
+    // whose job is cancelled — must unblock within a notification, not
+    // wait out the injected delay. A fully-slept straggler falls
+    // through to the normal map path; the record loop owns the rest.
     let fault = shared.config.fault_plan.map_fault(task, attempt);
-    match fault {
-        // Interruptible: a straggler whose race is already lost — or
-        // whose job is cancelled — must unblock within a notification,
-        // not wait out the injected delay. A fully-slept straggler
-        // falls through to the normal map path below.
-        Some(FaultKind::Straggle { delay_ms })
-            if !shared.sleep_interruptible(Duration::from_millis(delay_ms), &|st| {
-                st.failed || st.race_lost(task, attempt)
-            }) =>
-        {
+    if let Some(FaultKind::Straggle { delay_ms }) = fault {
+        if !shared.sleep_interruptible(Duration::from_millis(delay_ms), &|st| {
+            st.failed || st.race_lost(task, attempt)
+        }) {
             let lost = shared.state.lock().race_lost(task, attempt);
             return Ok(if lost {
                 MapRun::LostRace
@@ -1378,18 +1374,7 @@ where
                 MapRun::Aborted
             });
         }
-        Some(FaultKind::Fail) => {
-            return Err(MrError::Source(format!(
-                "injected failure: map {task} attempt {attempt}"
-            )));
-        }
-        _ => {}
     }
-    let source_err_after = match fault {
-        Some(FaultKind::SourceError { after_records }) => Some(after_records),
-        _ => None,
-    };
-    let mut source = source_factory(task, split)?;
     let mut builder = MapOutputBuilder::new(shared.plan.num_reducers());
     if let Some(limit) = shared.config.map_spill_records {
         let dir = shared
@@ -1398,32 +1383,15 @@ where
             .expect("map_spill_dir is set whenever map_spill_records is");
         builder = builder.with_spill(limit, dir, task);
     }
-    let mut records_in = 0u64;
-    let mut records_out = 0u64;
-    // The emit callback cannot return errors; park the first one.
-    let mut push_err: Option<MrError> = None;
-    while let Some((k, v)) = source.next_record()? {
-        if source_err_after.is_some_and(|after| records_in >= after) {
-            return Err(MrError::Source(format!(
-                "injected transient I/O error: map {task} attempt {attempt} \
-                 after {records_in} records"
-            )));
-        }
-        records_in += 1;
-        mapper.map(&k, &v, &mut |k2, v2| {
-            if push_err.is_some() {
-                return;
-            }
-            let reducer = shared.plan.partition(&k2);
-            if let Err(e) = builder.push(reducer, k2, v2) {
-                push_err = Some(e);
-            }
-            records_out += 1;
-        });
-        if let Some(e) = push_err {
-            return Err(e);
-        }
-    }
+    let (records_in, records_out) = map_records(
+        || source_factory(task, split),
+        mapper,
+        shared.plan,
+        &mut builder,
+        fault,
+        task,
+        attempt,
+    )?;
     Counters::add(&shared.counters.map_records_in, records_in);
     Counters::add(&shared.counters.map_records_out, records_out);
     // First-commit-wins, decided *before* anything is published: a
@@ -1531,11 +1499,7 @@ fn reduce_worker<K2, V2, V3>(
 
         let started = Instant::now();
         shared.timeline.record(TaskKind::ReduceStart, r);
-        let reduce_result = match executor {
-            Executor::Local => run_reduce_task(shared, r, reducer_fn, output),
-            Executor::Remote(exec) => run_reduce_task_remote(shared, r, exec, output),
-        };
-        if let Err(e) = reduce_result {
+        if let Err(e) = run_reduce_task(shared, r, reducer_fn, output, executor) {
             shared.fail(e);
             return;
         }
@@ -1549,39 +1513,37 @@ fn reduce_worker<K2, V2, V3>(
     }
 }
 
-/// Copy-phase fetch slot: outer `None` = not fetched yet, inner
-/// `None` = the map produced no output for this reducer.
-type FetchSlot<K, V> = Option<Option<ShuffleInput<K, V>>>;
-
-/// A fetched non-empty partition, however the store surfaced it:
-/// decoded records, or a zero-copy v3 frame the merge cursors borrow
-/// from directly.
-enum ShuffleInput<K, V> {
-    File(Arc<MapOutputFile<K, V>>),
-    Frame(Smof3View<K, V>),
-}
-
-// Manual impl: both variants clone by reference count, so no
-// `K: Clone`/`V: Clone` bound is needed (derive would add one).
-impl<K, V> Clone for ShuffleInput<K, V> {
-    fn clone(&self) -> Self {
-        match self {
-            ShuffleInput::File(f) => ShuffleInput::File(Arc::clone(f)),
-            ShuffleInput::Frame(v) => ShuffleInput::Frame(v.clone()),
-        }
-    }
-}
-
-/// Records handed through the merge per [`GroupBatch`] fill once the
-/// first group is out: big enough to amortize heap bookkeeping, small
-/// enough that a batch of ⟨coord, f64⟩ stays cache-resident.
-const REDUCE_BATCH_RECORDS: usize = 4096;
-
+/// One reduce task, every attempt until one commits: the single
+/// attempt driver for both executors. An attempt's life is the same
+/// either way — straggle, copy phase up to the barrier, injected
+/// post-barrier failure, merge→reduce with streamed groups, commit —
+/// and the executor decides only three things:
+///
+/// * **per ready source** — `Local` fetches it from the shuffle store
+///   and stashes it for its merge cursor; `Remote` binds the commit
+///   epoch its worker must fetch, every source from one state
+///   snapshot;
+/// * **after the barrier** — `Local` checks the §3.2.1 annotation and
+///   runs [`reduce_merged`] over the opened cursors; `Remote` hands
+///   the attempt to [`TaskExecutor::execute_reduce`], whose worker
+///   fetches the partitions from their holders directly (no bytes move
+///   through this process) and streams key groups back;
+/// * **failure classification** — a CRC-detected corrupt fetch
+///   (`Local`) or a holder dying before the attempt consumed anything
+///   ([`RemoteReduceError::SourcesLost`]) re-enqueues exactly the
+///   damaged maps and waits for them, charging no retry budget; an
+///   injected post-barrier failure or
+///   [`RemoteReduceError::AttemptFailed`] is charged against the
+///   budget and, under volatile intermediate data, re-executes the
+///   maps whose data the attempt consumed (§6).
+///
+/// [`TaskExecutor::execute_reduce`]: crate::executor::TaskExecutor::execute_reduce
 fn run_reduce_task<K2, V2, V3>(
     shared: &Shared<'_, K2, V2>,
     r: usize,
     reducer_fn: &dyn Reducer<Key = K2, InValue = V2, OutValue = V3>,
     output: &dyn OutputCollector<K2, V3>,
+    executor: Executor<'_, K2, V3>,
 ) -> Result<()>
 where
     K2: MrKey,
@@ -1592,6 +1554,20 @@ where
         Some(deps) => deps,
         None => (0..shared.num_maps).collect(),
     };
+    // A worker fetches every source itself, so a remote attempt binds
+    // all epochs at once; the local copy phase fetches whichever
+    // source completes next.
+    let bind_all = matches!(executor, Executor::Remote(_));
+    // Oldest commit epoch an upcoming bind of source `i` may accept.
+    // Bumped when a fetch finds a *newer* attempt's data in the store:
+    // that attempt's `put` landed but its `Done` has not, so the
+    // source is not ready again until the state's commit epoch catches
+    // up — consuming the fresh data on the strength of the old
+    // observation would orphan the partition (recovery treats the
+    // in-flight re-execution as already rebuilding it and re-enqueues
+    // nothing). Also bumped past any generation known consumed or
+    // lost, so a retry waits for a *fresh* recommit.
+    let mut min_epoch: Vec<u32> = vec![0; sources.len()];
     let mut attempt: u32 = 0;
     loop {
         // Injected reduce stragglers delay the attempt up front
@@ -1604,30 +1580,24 @@ where
                 return Ok(());
             }
         }
-        // Copy phase: fetch from whichever source completes next —
-        // not in source order — and pre-open its merge cursor as soon
-        // as every earlier source's cursor is open too. The reducer
-        // holds its slot through the copy anyway (§3.2), so no byte
-        // waits for the barrier, while the merge's file order (which
-        // breaks ties between equal keys) stays the plan's
-        // deterministic fetch order.
+        // Copy phase: bind sources as they complete — not in source
+        // order — and pre-open each local merge cursor as soon as every
+        // earlier source's cursor is open too. The reducer holds its
+        // slot through the copy anyway (§3.2), so no byte waits for the
+        // barrier, while the merge's file order (which breaks ties
+        // between equal keys) stays the plan's deterministic fetch
+        // order.
+        let mut bound: Vec<Option<u32>> = vec![None; sources.len()];
+        // Local fetches waiting for their turn to open a cursor.
+        let mut stash: Vec<Fetched<K2, V2>> = std::iter::repeat_with(|| Fetched::Empty)
+            .take(sources.len())
+            .collect();
         let mut merge: MergeIter<K2, V2> = MergeIter::new();
-        // (source map, raw ⟨k,v⟩ annotation) per non-empty input, for
-        // the §3.2.1 annotation tally and the volatile-recovery `I_ℓ`
-        // list; the records themselves live in the merge's cursors.
-        let mut inputs: Vec<(MapTaskId, u64)> = Vec::new();
-        // Per-source fetch outcome: None = not fetched yet,
-        // Some(None) = map produced nothing for this reducer.
-        let mut fetched: Vec<FetchSlot<K2, V2>> = vec![None; sources.len()];
-        // Oldest commit epoch an upcoming fetch of source `i` may
-        // accept. Bumped when a fetch finds a *newer* attempt's data
-        // in the store: that attempt's `put` landed but its `Done` has
-        // not, so the source is not ready again until the state's
-        // commit epoch catches up — consuming the fresh data on the
-        // strength of the old observation would orphan the partition
-        // (recovery treats the in-flight re-execution as already
-        // rebuilding it and re-enqueues nothing).
-        let mut min_epoch: Vec<u32> = vec![0; sources.len()];
+        // Source indices whose data this attempt takes: what volatile
+        // recovery must rebuild if the attempt dies.
+        let mut consumed: Vec<usize> = Vec::new();
+        // Raw ⟨k,v⟩ annotation tally of the opened inputs (§3.2.1).
+        let mut raw_total = 0u64;
         let mut opened = 0;
         let mut remaining = sources.len();
         let copy_start = Instant::now();
@@ -1646,27 +1616,26 @@ where
                         return Ok(());
                     }
                     let mut ready = Vec::new();
-                    for (i, slot) in fetched.iter().enumerate() {
-                        if slot.is_some() {
+                    for (i, &m) in sources.iter().enumerate() {
+                        if bound[i].is_some() {
                             continue;
                         }
-                        match st.maps[sources[i]] {
+                        match st.maps[m] {
                             MapStatus::Done => {
-                                let epoch = st.map_commit_epoch[sources[i]];
+                                let epoch = st.map_commit_epoch[m];
                                 if epoch >= min_epoch[i] {
                                     ready.push((i, epoch));
                                 }
                             }
                             MapStatus::Skipped => {
                                 return Err(MrError::BadConfig(format!(
-                                    "reduce {r} depends on skipped map {}",
-                                    sources[i]
+                                    "reduce {r} depends on skipped map {m}"
                                 )));
                             }
                             _ => {}
                         }
                     }
-                    if !ready.is_empty() {
+                    if !ready.is_empty() && (!bind_all || ready.len() == remaining) {
                         if ticked {
                             crate::metrics::runtime().tick_wakeups.inc();
                         }
@@ -1678,61 +1647,62 @@ where
                 }
             };
             for (i, epoch) in ready {
-                match shared.shuffle.fetch(sources[i], r, epoch, &shared.counters) {
-                    Ok(Fetched::File(file)) => {
-                        fetched[i] = Some(Some(ShuffleInput::File(file)));
-                        remaining -= 1;
+                match executor {
+                    Executor::Local => {
+                        match shared.shuffle.fetch(sources[i], r, epoch, &shared.counters) {
+                            Ok(Fetched::Stale { store_epoch }) => {
+                                // A re-execution's output landed between
+                                // our commit observation and this fetch.
+                                // Leave the source unbound and wait for
+                                // that attempt's commit; its `Done`
+                                // transition notifies.
+                                min_epoch[i] = store_epoch;
+                                continue;
+                            }
+                            Err(MrError::CorruptShuffle { .. }) => {
+                                // CRC caught a damaged map output at copy
+                                // time. Dependency-scoped recovery:
+                                // re-enqueue *only* that map; this reduce
+                                // keeps condvar-waiting in the copy phase
+                                // for the new attempt instead of failing
+                                // the job. The damaged replicas stay put —
+                                // other reducers must discover the
+                                // corruption on their own (map, reducer)
+                                // entries, never observe an evicted entry
+                                // as "map produced nothing" — and the
+                                // re-executed attempt's `put` replaces
+                                // them all.
+                                Counters::add(&shared.counters.corrupt_fetches, 1);
+                                let mut st = shared.state.lock();
+                                st.reenqueue_for_recovery(sources[i], &shared.counters);
+                                drop(st);
+                                shared.cv.notify_all();
+                                continue;
+                            }
+                            Err(e) => return Err(e),
+                            Ok(Fetched::Empty) => {}
+                            Ok(got) => {
+                                stash[i] = got;
+                                consumed.push(i);
+                            }
+                        }
                     }
-                    Ok(Fetched::Frame(view)) => {
-                        fetched[i] = Some(Some(ShuffleInput::Frame(view)));
-                        remaining -= 1;
-                    }
-                    Ok(Fetched::Empty) => {
-                        fetched[i] = Some(None);
-                        remaining -= 1;
-                    }
-                    Ok(Fetched::Stale { store_epoch }) => {
-                        // A re-execution's output landed between our
-                        // commit observation and this fetch. Leave the
-                        // slot unfetched and wait for that attempt's
-                        // commit; its `Done` transition notifies.
-                        min_epoch[i] = store_epoch;
-                    }
-                    Err(MrError::CorruptShuffle { .. }) => {
-                        // CRC caught a damaged map output at copy
-                        // time. Dependency-scoped recovery: re-enqueue
-                        // *only* that map; this reduce keeps
-                        // condvar-waiting in the copy phase for the
-                        // new attempt instead of failing the job. The
-                        // damaged replicas stay put — other reducers
-                        // must discover the corruption on their own
-                        // (map, reducer) entries, never observe an
-                        // evicted entry as "map produced nothing" —
-                        // and the re-executed attempt's `put` replaces
-                        // them all.
-                        let m = sources[i];
-                        Counters::add(&shared.counters.corrupt_fetches, 1);
-                        let mut st = shared.state.lock();
-                        st.reenqueue_for_recovery(m, &shared.counters);
-                        drop(st);
-                        shared.cv.notify_all();
-                    }
-                    Err(e) => return Err(e),
+                    Executor::Remote(_) => consumed.push(i),
                 }
+                bound[i] = Some(epoch);
+                remaining -= 1;
             }
-            while let Some(slot) = fetched.get(opened).and_then(|s| s.as_ref()) {
-                if let Some(input) = slot {
-                    let raw = match input {
-                        ShuffleInput::File(f) => {
-                            merge.push_file(Arc::clone(f));
-                            f.raw_count
-                        }
-                        ShuffleInput::Frame(v) => {
-                            merge.push_frame(v.clone());
-                            v.raw_count()
-                        }
-                    };
-                    inputs.push((sources[opened], raw));
+            while bound.get(opened).is_some_and(|b| b.is_some()) {
+                match std::mem::replace(&mut stash[opened], Fetched::Empty) {
+                    Fetched::File(f) => {
+                        raw_total += f.raw_count;
+                        merge.push_file(f);
+                    }
+                    Fetched::Frame(v) => {
+                        raw_total += v.raw_count();
+                        merge.push_frame(v);
+                    }
+                    Fetched::Empty | Fetched::Stale { .. } => {}
                 }
                 opened += 1;
             }
@@ -1744,367 +1714,157 @@ where
         m.barrier_wait_seconds
             .observe_duration(copy_start.elapsed());
         m.copy_wait_seconds.observe_duration(copy_wait);
+        let epochs: Vec<u32> = bound.into_iter().flatten().collect();
 
-        // §3.2.1 approach 2: tally the raw ⟨k,v⟩ annotation before
-        // processing; starting with less input than the geometry
-        // promises would produce "an answer based on insufficient
-        // input".
-        if shared.config.validate_annotations {
-            if let Some(expected) = shared.plan.expected_raw_count(r) {
-                let actual: u64 = inputs.iter().map(|(_, raw)| *raw).sum();
-                if actual != expected {
-                    return Err(MrError::AnnotationMismatch {
-                        reducer: r,
-                        expected,
-                        actual,
-                    });
-                }
-            }
-        }
-
-        // Injected reduce failure: the attempt dies after the barrier
-        // (the worst spot — every fetch already paid for).
-        if matches!(
-            shared.config.fault_plan.reduce_fault(r, attempt),
-            Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
-        ) {
-            Counters::add(&shared.counters.reduce_failures, 1);
-            shared
-                .timeline
-                .record_attempt(TaskKind::ReduceFailed, r, attempt);
-            if attempt + 1 >= shared.config.retry.max_task_attempts {
-                return Err(MrError::TaskFailed {
-                    task: format!("reduce {r}"),
-                    cause: format!("injected failure ({} attempts exhausted)", attempt + 1),
-                });
-            }
-            if shared.config.volatile_intermediate && !chaos::on(Mutation::SkipRecoveryRewait) {
-                // The fetched files were consumed; re-execute exactly
-                // the maps whose data this reduce lost — its `I_ℓ` —
-                // (§6: "re-execute subsets of Map tasks in the event
-                // of a Reduce task failure in place of persisting all
-                // intermediate data").
-                let lost: Vec<MapTaskId> = inputs.iter().map(|(m, _)| *m).collect();
-                let mut st = shared.state.lock();
-                for m in &lost {
-                    st.reenqueue_for_recovery(*m, &shared.counters);
-                }
-                drop(st);
-                shared.cv.notify_all();
-            }
-            crate::metrics::runtime().task_retries_reduce.inc();
-            if !shared
-                .sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed)
-            {
-                shared.observe_cancel();
-                return Ok(());
-            }
-            attempt += 1;
-            continue;
-        }
-
-        // Streaming merge + reduce, batched: groups leave the k-way
-        // merge in cache-sized [`GroupBatch`]es, and each group's
-        // output reaches the collector (`stream_group`) while later
-        // groups are still merging. The first batch is a single group
-        // so the §3.4 early-result clock starts as soon as the merge
-        // can produce anything; after that, batches amortize the
-        // per-group heap bookkeeping. No whole-keyspace
-        // `Vec<(K, Vec<V>)>` is ever materialized; the final `commit`
-        // keeps §2.3's atomic committal.
+        // Groups reach the collector (`stream_group`) as they leave the
+        // merge; `out` accumulates them for the final atomic commit
+        // (§2.3).
         let mut out: Vec<(K2, V3)> = Vec::new();
-        let mut emitted = 0u64;
-        let mut first_group = true;
-        let mut batch: GroupBatch<K2, V2> = GroupBatch::new();
-        loop {
-            let budget = if first_group { 1 } else { REDUCE_BATCH_RECORDS };
-            if merge.fill_batch(&mut batch, budget) == 0 {
-                break;
-            }
-            for (key, values) in batch.groups() {
-                let group_start = out.len();
-                reducer_fn.reduce(key, values, &mut |v3| {
-                    out.push((key.clone(), v3));
-                    emitted += 1;
-                });
-                if out.len() > group_start {
-                    output
-                        .stream_group(r, &out[group_start..])
-                        .map_err(|e| MrError::Output(e.to_string()))?;
-                    if first_group {
-                        shared
-                            .timeline
-                            .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
-                        first_group = false;
-                    }
-                }
-            }
-        }
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
-        let merged = merge.records_consumed();
-        m.merge_records.add(merged);
-        m.merge_bytes
-            .add(merged.saturating_mul(std::mem::size_of::<(K2, V2)>() as u64));
-        Counters::add(&shared.counters.reduce_records_out, emitted);
-        if !shared.config.reduce_think.is_zero() {
-            shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
-        }
-        output
-            .commit(r, out)
-            .map_err(|e| MrError::Output(e.to_string()))?;
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceEnd, r, attempt);
-        return Ok(());
-    }
-}
-
-/// The remote counterpart of [`run_reduce_task`]: the scheduler only
-/// waits for *readiness* — every source map `Done` at an acceptable
-/// commit epoch — and then hands the attempt to the executor, which
-/// has a worker fetch the partitions from their holders directly (no
-/// bytes move through this process) and stream key groups back.
-///
-/// Fault mapping mirrors the local path exactly:
-/// * a holder dying *before* the attempt consumed anything
-///   ([`RemoteReduceError::SourcesLost`]) re-enqueues exactly the lost
-///   maps and retries the same attempt, like a CRC-detected corrupt
-///   fetch — no retry budget charged;
-/// * an attempt dying *after* its copy phase
-///   ([`RemoteReduceError::AttemptFailed`]) is charged against the
-///   budget and, under volatile intermediate data, re-executes its
-///   whole dependency set, like a post-barrier injected failure.
-fn run_reduce_task_remote<K2, V2, V3>(
-    shared: &Shared<'_, K2, V2>,
-    r: usize,
-    exec: &dyn crate::executor::TaskExecutor<K2, V3>,
-    output: &dyn OutputCollector<K2, V3>,
-) -> Result<()>
-where
-    K2: MrKey,
-    V2: MrValue,
-    V3: MrValue,
-{
-    let sources: Vec<MapTaskId> = match shared.plan.fetch_sources(r) {
-        Some(deps) => deps,
-        None => (0..shared.num_maps).collect(),
-    };
-    let mut attempt: u32 = 0;
-    // Oldest commit epoch a dispatch may bind source `i` at — bumped
-    // past any generation known consumed or lost, so a retry waits for
-    // a *fresh* recommit instead of re-fetching a dead epoch.
-    let mut min_epoch: Vec<u32> = vec![0; sources.len()];
-    loop {
-        // Injected reduce stragglers delay the attempt up front,
-        // coordinator-side, exactly like the local path.
-        if let Some(FaultKind::Straggle { delay_ms }) =
-            shared.config.fault_plan.reduce_fault(r, attempt)
-        {
-            if !shared.sleep_interruptible(Duration::from_millis(delay_ms), &|st| st.failed) {
-                shared.observe_cancel();
-                return Ok(());
-            }
-        }
-
-        // Readiness barrier: every source Done at epoch >= min_epoch.
-        let copy_start = Instant::now();
-        let mut copy_wait = Duration::ZERO;
-        let epochs: Vec<u32> = {
-            let mut st = shared.state.lock();
-            let mut ticked = false;
-            loop {
-                if st.failed {
-                    return Ok(()); // another task already reported
-                }
-                if shared.cancel_requested() {
-                    drop(st);
-                    shared.observe_cancel();
-                    return Ok(());
-                }
-                let mut ready = Vec::with_capacity(sources.len());
-                for (i, &m) in sources.iter().enumerate() {
-                    match st.maps[m] {
-                        MapStatus::Done => {
-                            let epoch = st.map_commit_epoch[m];
-                            if epoch >= min_epoch[i] {
-                                ready.push(epoch);
-                            }
-                        }
-                        MapStatus::Skipped => {
-                            return Err(MrError::BadConfig(format!(
-                                "reduce {r} depends on skipped map {m}"
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
-                if ready.len() == sources.len() {
-                    if ticked {
-                        crate::metrics::runtime().tick_wakeups.inc();
-                    }
-                    break ready;
-                }
-                let parked = Instant::now();
-                ticked = shared.cv.wait_for(&mut st, shared.wait_tick).timed_out();
-                copy_wait += parked.elapsed();
-            }
-        };
-        shared
-            .timeline
-            .record_attempt(TaskKind::ReduceBarrierMet, r, attempt);
-        let m = crate::metrics::runtime();
-        m.barrier_wait_seconds
-            .observe_duration(copy_start.elapsed());
-        m.copy_wait_seconds.observe_duration(copy_wait);
-
-        // Coordinator-side injected reduce failure, at the same point
-        // in the attempt's life as the local post-barrier injection.
-        if matches!(
+        let cause = if matches!(
             shared.config.fault_plan.reduce_fault(r, attempt),
             Some(FaultKind::Fail) | Some(FaultKind::SourceError { .. })
         ) {
-            Counters::add(&shared.counters.reduce_failures, 1);
-            shared
-                .timeline
-                .record_attempt(TaskKind::ReduceFailed, r, attempt);
-            if attempt + 1 >= shared.config.retry.max_task_attempts {
-                return Err(MrError::TaskFailed {
-                    task: format!("reduce {r}"),
-                    cause: format!("injected failure ({} attempts exhausted)", attempt + 1),
-                });
-            }
-            if shared.config.volatile_intermediate {
-                reenqueue_sources(shared, &sources, &epochs, &mut min_epoch);
-            }
-            crate::metrics::runtime().task_retries_reduce.inc();
-            if !shared
-                .sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed)
-            {
-                shared.observe_cancel();
-                return Ok(());
-            }
-            attempt += 1;
-            continue;
-        }
-
-        let srcs: Vec<ReduceSource> = sources
-            .iter()
-            .zip(&epochs)
-            .map(|(&map, &epoch)| ReduceSource { map, epoch })
-            .collect();
-        let expected_raw = if shared.config.validate_annotations {
-            shared.plan.expected_raw_count(r)
+            // Injected reduce failure: the attempt dies after the
+            // barrier (the worst spot — every fetch already paid for).
+            "injected failure".to_string()
         } else {
-            None
-        };
-
-        // Stream groups to the collector as the worker sends them,
-        // accumulating for the final atomic commit (§2.3).
-        let mut out: Vec<(K2, V3)> = Vec::new();
-        let mut first_group = true;
-        let result = {
-            let mut emit = |records: Vec<(K2, V3)>| -> Result<()> {
-                if !records.is_empty() {
-                    output
-                        .stream_group(r, &records)
-                        .map_err(|e| MrError::Output(e.to_string()))?;
-                    if first_group {
-                        shared
-                            .timeline
-                            .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
-                        first_group = false;
-                    }
-                    out.extend(records);
+            let expected = if shared.config.validate_annotations {
+                shared.plan.expected_raw_count(r)
+            } else {
+                None
+            };
+            let mut first_group = true;
+            let mut stream = |records: &[(K2, V3)]| -> Result<()> {
+                output
+                    .stream_group(r, records)
+                    .map_err(|e| MrError::Output(e.to_string()))?;
+                if first_group {
+                    shared
+                        .timeline
+                        .record_attempt(TaskKind::ReduceFirstGroup, r, attempt);
+                    first_group = false;
                 }
                 Ok(())
             };
-            exec.execute_reduce(r, attempt, &srcs, expected_raw, &mut emit)
-        };
-        match result {
-            Ok(emitted) => {
-                shared
-                    .timeline
-                    .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
-                Counters::add(&shared.counters.reduce_records_out, emitted);
-                if !shared.config.reduce_think.is_zero() {
-                    shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
+            let result = match executor {
+                Executor::Local => {
+                    check_annotation(r, expected, raw_total)?;
+                    let emitted = reduce_merged(&mut merge, reducer_fn, &mut out, |out, start| {
+                        stream(&out[start..])
+                    })?;
+                    let merged = merge.records_consumed();
+                    m.merge_records.add(merged);
+                    m.merge_bytes
+                        .add(merged.saturating_mul(std::mem::size_of::<(K2, V2)>() as u64));
+                    Ok(emitted)
                 }
-                output
-                    .commit(r, out)
-                    .map_err(|e| MrError::Output(e.to_string()))?;
-                shared
-                    .timeline
-                    .record_attempt(TaskKind::ReduceEnd, r, attempt);
-                return Ok(());
-            }
-            Err(RemoteReduceError::SourcesLost(lost)) => {
-                // Nothing was consumed: re-enqueue exactly the maps
-                // that died with their holder (their `I_ℓ` share) and
-                // retry the same attempt once they recommit.
-                Counters::add(&shared.counters.corrupt_fetches, 1);
-                {
-                    let mut st = shared.state.lock();
-                    for (i, &m) in sources.iter().enumerate() {
-                        if !lost.contains(&m) {
-                            continue;
+                Executor::Remote(exec) => {
+                    let srcs: Vec<ReduceSource> = sources
+                        .iter()
+                        .zip(&epochs)
+                        .map(|(&map, &epoch)| ReduceSource { map, epoch })
+                        .collect();
+                    exec.execute_reduce(r, attempt, &srcs, expected, &mut |records| {
+                        if !records.is_empty() {
+                            stream(&records)?;
+                            out.extend(records);
                         }
-                        // Guard: only recover the generation we bound.
-                        // A concurrent reducer may already have
-                        // re-enqueued it (not Done) or a re-execution
-                        // may have recommitted (newer epoch).
-                        if st.maps[m] == MapStatus::Done && st.map_commit_epoch[m] == epochs[i] {
-                            st.reenqueue_for_recovery(m, &shared.counters);
-                        }
-                        min_epoch[i] = epochs[i] + 1;
+                        Ok(())
+                    })
+                }
+            };
+            match result {
+                Ok(emitted) => {
+                    shared
+                        .timeline
+                        .record_attempt(TaskKind::ReduceMergeDone, r, attempt);
+                    Counters::add(&shared.counters.reduce_records_out, emitted);
+                    if !shared.config.reduce_think.is_zero() {
+                        shared.sleep_interruptible(shared.config.reduce_think, &|_| false);
                     }
-                }
-                shared.cv.notify_all();
-            }
-            Err(RemoteReduceError::AttemptFailed(cause)) => {
-                Counters::add(&shared.counters.reduce_failures, 1);
-                shared
-                    .timeline
-                    .record_attempt(TaskKind::ReduceFailed, r, attempt);
-                if !out.is_empty() {
-                    // Groups already reached the collector: retrying
-                    // would stream duplicates. At-most-once streaming
-                    // makes this fatal.
-                    return Err(MrError::TaskFailed {
-                        task: format!("reduce {r}"),
-                        cause: format!("{cause} (after streaming began; cannot retry atomically)"),
-                    });
-                }
-                if attempt + 1 >= shared.config.retry.max_task_attempts {
-                    return Err(MrError::TaskFailed {
-                        task: format!("reduce {r}"),
-                        cause: format!("{cause} ({} attempts exhausted)", attempt + 1),
-                    });
-                }
-                if shared.config.volatile_intermediate {
-                    // The attempt consumed its fetches before dying:
-                    // re-execute the whole dependency set (§6).
-                    reenqueue_sources(shared, &sources, &epochs, &mut min_epoch);
-                }
-                crate::metrics::runtime().task_retries_reduce.inc();
-                if !shared
-                    .sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed)
-                {
-                    shared.observe_cancel();
+                    output
+                        .commit(r, out)
+                        .map_err(|e| MrError::Output(e.to_string()))?;
+                    shared
+                        .timeline
+                        .record_attempt(TaskKind::ReduceEnd, r, attempt);
                     return Ok(());
                 }
-                attempt += 1;
+                Err(RemoteReduceError::SourcesLost(lost)) => {
+                    // Nothing was consumed: re-enqueue exactly the maps
+                    // that died with their holder (their `I_ℓ` share)
+                    // and retry the same attempt once they recommit.
+                    Counters::add(&shared.counters.corrupt_fetches, 1);
+                    let lost = (0..sources.len()).filter(|&i| lost.contains(&sources[i]));
+                    reenqueue_bound(shared, &sources, &epochs, lost, &mut min_epoch);
+                    continue;
+                }
+                Err(RemoteReduceError::AttemptFailed(cause)) => cause,
+                Err(RemoteReduceError::Fatal(e)) => return Err(e),
             }
-            Err(RemoteReduceError::Fatal(e)) => return Err(e),
+        };
+
+        // The attempt failed after its copy phase: charge the budget.
+        Counters::add(&shared.counters.reduce_failures, 1);
+        shared
+            .timeline
+            .record_attempt(TaskKind::ReduceFailed, r, attempt);
+        if !out.is_empty() {
+            // Groups already reached the collector: retrying would
+            // stream duplicates. At-most-once streaming makes this
+            // fatal.
+            return Err(MrError::TaskFailed {
+                task: format!("reduce {r}"),
+                cause: format!("{cause} (after streaming began; cannot retry atomically)"),
+            });
         }
+        if attempt + 1 >= shared.config.retry.max_task_attempts {
+            return Err(MrError::TaskFailed {
+                task: format!("reduce {r}"),
+                cause: format!("{cause} ({} attempts exhausted)", attempt + 1),
+            });
+        }
+        if shared.config.volatile_intermediate && !chaos::on(Mutation::SkipRecoveryRewait) {
+            // The fetched data was consumed: re-execute exactly the
+            // maps whose data this reduce lost — its `I_ℓ` — (§6:
+            // "re-execute subsets of Map tasks in the event of a Reduce
+            // task failure in place of persisting all intermediate
+            // data").
+            reenqueue_bound(shared, &sources, &epochs, consumed, &mut min_epoch);
+        }
+        m.task_retries_reduce.inc();
+        if !shared.sleep_interruptible(shared.config.retry.backoff(attempt + 1), &|st| st.failed) {
+            shared.observe_cancel();
+            return Ok(());
+        }
+        attempt += 1;
     }
 }
 
-/// Re-enqueues every source whose bound generation is still current
-/// (epoch-guarded, like the `SourcesLost` arm) and advances
-/// `min_epoch` past the consumed generation so the retry binds fresh
-/// commits only.
+/// Re-enqueues the sources at indices `which` whose bound generation
+/// is still current, and advances their `min_epoch` past it so the
+/// retry binds fresh commits only. The epoch guard skips a map a
+/// concurrent reducer already re-enqueued (no longer `Done`) or a
+/// re-execution already recommitted (newer epoch, data rebuilt).
+fn reenqueue_bound<K2: MrKey, V2: MrValue>(
+    shared: &Shared<'_, K2, V2>,
+    sources: &[MapTaskId],
+    epochs: &[u32],
+    which: impl IntoIterator<Item = usize>,
+    min_epoch: &mut [u32],
+) {
+    let mut st = shared.state.lock();
+    for i in which {
+        let m = sources[i];
+        if st.maps[m] == MapStatus::Done && st.map_commit_epoch[m] == epochs[i] {
+            st.reenqueue_for_recovery(m, &shared.counters);
+        }
+        min_epoch[i] = epochs[i] + 1;
+    }
+    drop(st);
+    shared.cv.notify_all();
+}
+
 /// The speculation monitor: wakes every `check_interval_ms`, compares
 /// each running map's elapsed time against the committed cohort's
 /// quantile × slowdown, and grants speculative twins for the
@@ -2214,23 +1974,6 @@ fn speculation_monitor<K2: MrKey, V2: MrValue>(shared: &Shared<'_, K2, V2>, num_
             shared.cv.notify_all();
         }
     }
-}
-
-fn reenqueue_sources<K2: MrKey, V2: MrValue>(
-    shared: &Shared<'_, K2, V2>,
-    sources: &[MapTaskId],
-    epochs: &[u32],
-    min_epoch: &mut [u32],
-) {
-    let mut st = shared.state.lock();
-    for (i, &m) in sources.iter().enumerate() {
-        if st.maps[m] == MapStatus::Done && st.map_commit_epoch[m] == epochs[i] {
-            st.reenqueue_for_recovery(m, &shared.counters);
-        }
-        min_epoch[i] = epochs[i] + 1;
-    }
-    drop(st);
-    shared.cv.notify_all();
 }
 
 #[cfg(test)]

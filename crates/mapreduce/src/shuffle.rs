@@ -94,6 +94,10 @@ pub enum Fetched<K, V> {
     Stale { store_epoch: u32 },
 }
 
+/// Store key → (producing epoch, file): epoch first so a fetch can
+/// reject another attempt's data before touching the payload.
+type StoredFiles<K, V> = HashMap<(MapTaskId, usize), (u32, Stored<K, V>)>;
+
 /// The TaskTracker-served map-output files: held in memory by default,
 /// or written to a spill directory in the on-disk format of
 /// [`crate::shuffle_file`] (the header-annotated files of §3.2.1).
@@ -109,43 +113,19 @@ pub enum Fetched<K, V> {
 /// partition between its `put` and its `Done` transition — and since
 /// recovery treats an in-flight re-execution as "already being
 /// rebuilt", nobody would ever restore the consumed data.
-/// Store key → (producing epoch, file): epoch first so a fetch can
-/// reject another attempt's data before touching the payload.
-type StoredFiles<K, V> = HashMap<(MapTaskId, usize), (u32, Stored<K, V>)>;
-
-/// The store's mutable state: the files plus the resident-byte tally
-/// the budgeted mode ranks demotions by.
-struct Table<K, V> {
-    files: StoredFiles<K, V>,
-    /// Approximate bytes held by `Stored::Memory` entries.
-    resident: u64,
-    /// High-water mark of `resident`.
-    peak_resident: u64,
-    /// Memory entries in arrival order — the demotion queue. May
-    /// hold stale keys (consumed or already demoted); they are
-    /// skipped when popped.
-    fifo: std::collections::VecDeque<(MapTaskId, usize)>,
-}
-
-/// How a store with a codec uses its disk.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SpillMode {
-    /// Every put goes straight to disk (the pre-budget behavior).
-    Always,
-    /// Puts stay in memory; once resident bytes exceed the budget,
-    /// the oldest memory entries are demoted to disk.
-    Budget(u64),
-}
-
+///
+/// The store has no memory budget: everything stays resident, or every
+/// put goes to disk. The budgeted store, with a resident tier and
+/// coldest-first demotion, is [`crate::tier::PartitionStore`].
 pub struct ShuffleStore<K, V> {
-    table: Mutex<Table<K, V>>,
+    files: Mutex<StoredFiles<K, V>>,
     /// Signalled when new files arrive (fetchers waiting on slow maps).
     arrival: Condvar,
     /// Whether fetches remove files from the store.
     consume_on_fetch: bool,
-    /// Spill codec, present when the store is disk-backed.
+    /// Spill codec, present when the store is disk-backed: every put
+    /// then goes straight to disk.
     spill: Option<SpillCodec<K, V>>,
-    mode: SpillMode,
 }
 
 /// Zero-copy spill loader: `Ok(Some(view))` when the file uses the v3
@@ -183,63 +163,21 @@ where
 }
 
 impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
-    fn build(consume_on_fetch: bool, spill: Option<SpillCodec<K, V>>, mode: SpillMode) -> Self {
+    pub fn new(consume_on_fetch: bool) -> Self {
         ShuffleStore {
-            table: Mutex::new(Table {
-                files: HashMap::new(),
-                resident: 0,
-                peak_resident: 0,
-                fifo: std::collections::VecDeque::new(),
-            }),
+            files: Mutex::new(HashMap::new()),
             arrival: Condvar::new(),
             consume_on_fetch,
-            spill,
-            mode,
+            spill: None,
         }
-    }
-
-    pub fn new(consume_on_fetch: bool) -> Self {
-        ShuffleStore::build(consume_on_fetch, None, SpillMode::Always)
     }
 
     /// A disk-backed store spilling through `codec`.
     pub fn with_spill(consume_on_fetch: bool, codec: SpillCodec<K, V>) -> Self {
-        ShuffleStore::build(consume_on_fetch, Some(codec), SpillMode::Always)
-    }
-
-    /// A budgeted store: puts stay resident until approximate memory
-    /// bytes exceed `budget_bytes`, then the oldest entries are
-    /// demoted through `codec` — fetch semantics (epoch stamping,
-    /// `Stale`/`Empty`, consume-on-fetch) are identical either tier.
-    /// A budget of 0 demotes every put, degenerating to
-    /// [`with_spill`](Self::with_spill).
-    pub fn with_spill_budget(
-        consume_on_fetch: bool,
-        codec: SpillCodec<K, V>,
-        budget_bytes: u64,
-    ) -> Self {
-        ShuffleStore::build(
-            consume_on_fetch,
-            Some(codec),
-            SpillMode::Budget(budget_bytes),
-        )
-    }
-
-    /// Approximate resident bytes of one memory file (fixed-width
-    /// record assumption, which holds for the engine's coordinate
-    /// keys and scalar values).
-    fn approx_bytes(file: &MapOutputFile<K, V>) -> u64 {
-        (file.records.len() * std::mem::size_of::<(K, V)>()) as u64
-    }
-
-    /// Current approximate resident bytes (memory-tier entries).
-    pub fn resident_bytes(&self) -> u64 {
-        self.table.lock().resident
-    }
-
-    /// High-water mark of [`resident_bytes`](Self::resident_bytes).
-    pub fn peak_resident_bytes(&self) -> u64 {
-        self.table.lock().peak_resident
+        ShuffleStore {
+            spill: Some(codec),
+            ..ShuffleStore::new(consume_on_fetch)
+        }
     }
 
     /// Stores (or replaces, on re-execution) one map-output file,
@@ -251,81 +189,22 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
         epoch: u32,
         file: MapOutputFile<K, V>,
     ) -> crate::Result<()> {
-        let to_memory = self.spill.is_none() || matches!(self.mode, SpillMode::Budget(b) if b > 0);
-        let stored = if to_memory {
-            Stored::Memory(Arc::new(file))
-        } else {
-            let codec = self.spill.as_ref().expect("checked above");
-            let path = codec.dir.join(format!("map{map:06}-r{reducer:05}.smof"));
-            (codec.write)(&path, &file)?;
-            Stored::Spilled {
-                path,
-                raw_count: file.raw_count,
-                records: file.records.len() as u64,
+        let stored = match &self.spill {
+            None => Stored::Memory(Arc::new(file)),
+            Some(codec) => {
+                let path = codec.dir.join(format!("map{map:06}-r{reducer:05}.smof"));
+                (codec.write)(&path, &file)?;
+                Stored::Spilled {
+                    path,
+                    raw_count: file.raw_count,
+                    records: file.records.len() as u64,
+                }
             }
         };
-        let mut table = self.table.lock();
-        if let Some((_, old)) = table.files.remove(&(map, reducer)) {
-            Self::retire(&mut table, &old, self.consume_on_fetch);
-        }
-        if let Stored::Memory(f) = &stored {
-            table.resident += Self::approx_bytes(f);
-            table.peak_resident = table.peak_resident.max(table.resident);
-            if self.spill.is_some() {
-                table.fifo.push_back((map, reducer));
-            }
-        }
-        table.files.insert((map, reducer), (epoch, stored));
-        if let SpillMode::Budget(budget) = self.mode {
-            self.demote_until_under(&mut table, budget)?;
-        }
+        // A replaced spilled entry needs no cleanup: its file sits at
+        // the same path, which the write above just overwrote.
+        self.files.lock().insert((map, reducer), (epoch, stored));
         self.arrival.notify_all();
-        Ok(())
-    }
-
-    /// Fixes the resident tally for an entry leaving the table; a
-    /// volatile store also deletes a spilled entry's file.
-    fn retire(table: &mut Table<K, V>, stored: &Stored<K, V>, delete_spill: bool) {
-        match stored {
-            Stored::Memory(f) => {
-                table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
-            }
-            Stored::Spilled { path, .. } if delete_spill => {
-                std::fs::remove_file(path).ok();
-            }
-            _ => {}
-        }
-    }
-
-    /// Demotes oldest memory entries through the codec until the
-    /// resident tally is back under `budget`. Runs on the putting
-    /// thread, under the table lock.
-    fn demote_until_under(&self, table: &mut Table<K, V>, budget: u64) -> crate::Result<()> {
-        let codec = self.spill.as_ref().expect("budget mode implies a codec");
-        while table.resident > budget {
-            let Some(key) = table.fifo.pop_front() else {
-                break;
-            };
-            let Some((_, stored)) = table.files.get(&key) else {
-                continue; // consumed since it was queued
-            };
-            let Stored::Memory(file) = stored else {
-                continue; // already on disk (corrupt counts as gone)
-            };
-            let file = Arc::clone(file);
-            let (map, reducer) = key;
-            let path = codec.dir.join(format!("map{map:06}-r{reducer:05}.smof"));
-            (codec.write)(&path, &file)?;
-            let demoted = Stored::Spilled {
-                path,
-                raw_count: file.raw_count,
-                records: file.records.len() as u64,
-            };
-            if let Some((_, slot)) = table.files.get_mut(&key) {
-                *slot = demoted;
-                table.resident = table.resident.saturating_sub(Self::approx_bytes(&file));
-            }
-        }
         Ok(())
     }
 
@@ -349,8 +228,8 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
     ) -> crate::Result<Fetched<K, V>> {
         Counters::add(&counters.shuffle_connections, 1);
         let entry = {
-            let mut table = self.table.lock();
-            match table.files.get(&(map, reducer)) {
+            let mut files = self.files.lock();
+            match files.get(&(map, reducer)) {
                 None => None,
                 Some((stored_epoch, _)) if *stored_epoch > epoch => {
                     return Ok(Fetched::Stale {
@@ -360,17 +239,10 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
                 Some((stored_epoch, _)) if *stored_epoch < epoch => {
                     return Ok(Fetched::Empty);
                 }
+                // A consumed spilled file is deleted below, *after* it
+                // has been read.
                 Some(_) if self.consume_on_fetch => {
-                    let removed = table
-                        .files
-                        .remove(&(map, reducer))
-                        .map(|(_, stored)| stored);
-                    if let Some(Stored::Memory(f)) = &removed {
-                        // Tally only — a consumed spilled file is
-                        // deleted below, *after* it has been read.
-                        table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
-                    }
-                    removed
+                    files.remove(&(map, reducer)).map(|(_, stored)| stored)
                 }
                 Some((_, Stored::Memory(f))) => Some(Stored::Memory(Arc::clone(f))),
                 Some((
@@ -432,7 +304,7 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
     /// The annotation of a stored file without reading its records —
     /// `(raw ⟨k,v⟩ represented, ⟨k′,v′⟩ records)` (§3.2.1).
     pub fn annotation(&self, map: MapTaskId, reducer: usize) -> Option<(u64, u64)> {
-        match self.table.lock().files.get(&(map, reducer)) {
+        match self.files.lock().get(&(map, reducer)) {
             None => None,
             Some((_, Stored::Memory(f))) => Some((f.raw_count, f.records.len() as u64)),
             Some((
@@ -450,14 +322,12 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
     /// CRC frame genuinely fails at read time; resident replicas are
     /// marked corrupt, which `fetch` reports the same way.
     pub fn corrupt_map(&self, map: MapTaskId, mode: CorruptionMode) -> crate::Result<()> {
-        let table = &mut *self.table.lock();
-        for ((m, _), (_, stored)) in table.files.iter_mut() {
+        for ((m, _), (_, stored)) in self.files.lock().iter_mut() {
             if *m != map {
                 continue;
             }
             match stored {
                 Stored::Memory(f) => {
-                    table.resident = table.resident.saturating_sub(Self::approx_bytes(f));
                     *stored = Stored::Corrupt {
                         raw_count: f.raw_count,
                         records: f.records.len() as u64,
@@ -477,38 +347,31 @@ impl<K: MrKey, V: MrValue> ShuffleStore<K, V> {
     /// the copy phase calls this when a fetch detects corruption, so
     /// the re-executed attempt's files are the only replicas left.
     pub fn evict(&self, map: MapTaskId) {
-        let table = &mut *self.table.lock();
-        let mut freed = 0u64;
-        table.files.retain(|(m, _), (_, stored)| {
+        self.files.lock().retain(|(m, _), (_, stored)| {
             if *m != map {
                 return true;
             }
-            match stored {
-                Stored::Spilled { path, .. } => {
-                    std::fs::remove_file(path).ok();
-                }
-                Stored::Memory(f) => freed += Self::approx_bytes(f),
-                Stored::Corrupt { .. } => {}
+            if let Stored::Spilled { path, .. } = stored {
+                std::fs::remove_file(path).ok();
             }
             false
         });
-        table.resident = table.resident.saturating_sub(freed);
     }
 
     /// Whether a file is currently present (recovery logic checks
     /// before deciding to re-execute a map).
     pub fn contains(&self, map: MapTaskId, reducer: usize) -> bool {
-        self.table.lock().files.contains_key(&(map, reducer))
+        self.files.lock().contains_key(&(map, reducer))
     }
 
     /// Number of files currently stored.
     pub fn len(&self) -> usize {
-        self.table.lock().files.len()
+        self.files.lock().len()
     }
 
     /// True when the store holds no files.
     pub fn is_empty(&self) -> bool {
-        self.table.lock().files.is_empty()
+        self.files.lock().is_empty()
     }
 }
 
@@ -1231,78 +1094,39 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_store_demotes_oldest_and_fetch_is_tier_transparent() {
+    fn spilled_store_fetches_v3_files_as_frames() {
         let counters = Counters::default();
         let dir = std::env::temp_dir().join(format!(
-            "sidr-shuffle-budget-{}-{:?}",
+            "sidr-shuffle-spill-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        // Two (u64, u64) records ≈ 32 approximate bytes per file: a
-        // 40-byte budget holds one file resident but not two.
-        let store =
-            ShuffleStore::<u64, u64>::with_spill_budget(false, SpillCodec::smof(dir.clone()), 40);
-        let file = |k: u64| MapOutputFile {
-            records: vec![(k, k), (k + 1, k)],
-            raw_count: 2,
-        };
-        store.put(0, 0, 0, file(1)).unwrap();
-        let one = store.resident_bytes();
-        assert!(one > 0, "under budget, the put stays resident");
-        store.put(1, 0, 0, file(10)).unwrap();
-        assert_eq!(
-            store.resident_bytes(),
-            one,
-            "over budget, the oldest file demotes to disk"
-        );
-        assert_eq!(store.peak_resident_bytes(), 2 * one);
-
-        // Fetch is tier-transparent: the demoted file reads back the
-        // records that went in, the resident one is served as-is.
-        match store.fetch(0, 0, 0, &counters).unwrap() {
-            Fetched::Frame(view) => {
-                assert_eq!(view.records(), 2);
-                assert_eq!(view.key_at(0), 1);
-                assert_eq!(view.key_at(1), 2);
-            }
-            Fetched::File(f) => assert_eq!(f.records, vec![(1, 1), (2, 1)]),
-            _ => panic!("demoted file must fetch as File or Frame"),
-        }
-        match store.fetch(1, 0, 0, &counters).unwrap() {
-            Fetched::File(f) => assert_eq!(f.records, vec![(10, 10), (11, 10)]),
-            _ => panic!("resident file must fetch as File"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn zero_budget_degenerates_to_always_spill() {
-        let dir = std::env::temp_dir().join(format!(
-            "sidr-shuffle-budget0-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store =
-            ShuffleStore::<u64, u64>::with_spill_budget(false, SpillCodec::smof(dir.clone()), 0);
+        let store = ShuffleStore::<u64, u64>::with_spill(false, SpillCodec::smof(dir.clone()));
         store
             .put(
                 0,
                 0,
                 0,
                 MapOutputFile {
-                    records: vec![(3, 4)],
-                    raw_count: 1,
+                    records: vec![(1, 1), (2, 1)],
+                    raw_count: 2,
                 },
             )
             .unwrap();
-        assert_eq!(
-            store.resident_bytes(),
-            0,
-            "budget 0 writes straight to disk"
-        );
-        assert!(store.contains(0, 0));
+        assert_eq!(store.annotation(0, 0), Some((2, 2)));
+        // Spilled u64 records use the fixed-width v3 layout, which
+        // comes back as a zero-copy frame, never decoded.
+        match store.fetch(0, 0, 0, &counters).unwrap() {
+            Fetched::Frame(view) => {
+                assert_eq!(view.records(), 2);
+                assert_eq!(view.key_at(0), 1);
+                assert_eq!(view.key_at(1), 2);
+            }
+            _ => panic!("a spilled v3 file must fetch as a Frame"),
+        }
+        assert!(store.contains(0, 0), "a persisted store keeps the file");
+        assert_eq!(counters.snapshot().shuffled_records, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -35,6 +35,9 @@ use sidr_core::exec::ExecOptions;
 use sidr_core::spec::JobSpec;
 use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
 use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
+// The workspace sync facade (parking_lot in normal builds): a panic on
+// a heartbeat or dispatch thread cannot poison the coordinator's locks.
+use sidr_mapreduce::sync::Mutex;
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
@@ -442,7 +445,7 @@ impl Fleet {
                 }
             })
             .expect("spawn heartbeat monitor");
-        *fleet.monitor.lock().unwrap() = Some(handle);
+        *fleet.monitor.lock() = Some(handle);
         Ok(fleet)
     }
 
@@ -469,11 +472,10 @@ impl Fleet {
         self.slots
             .iter()
             .map(|s| {
-                let mut stat = s.last_stat.lock().unwrap().clone();
+                let mut stat = s.last_stat.lock().clone();
                 stat.addr = s.addr.clone();
                 stat.alive = s.alive.load(Ordering::SeqCst);
-                stat.heartbeat_age_ms =
-                    s.last_heartbeat.lock().unwrap().elapsed().as_millis() as u64;
+                stat.heartbeat_age_ms = s.last_heartbeat.lock().elapsed().as_millis() as u64;
                 stat
             })
             .collect()
@@ -549,7 +551,7 @@ impl Fleet {
     /// Stops the heartbeat monitor. Called on drop.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.monitor.lock().unwrap().take() {
+        if let Some(h) = self.monitor.lock().take() {
             h.join().ok();
         }
     }
@@ -602,8 +604,8 @@ fn probe(slot: &WorkerSlot, timeout: Duration) {
             } else if !pressured {
                 slot.pressured.store(false, Ordering::SeqCst);
             }
-            *slot.last_heartbeat.lock().unwrap() = Instant::now();
-            *slot.last_stat.lock().unwrap() = stat;
+            *slot.last_heartbeat.lock() = Instant::now();
+            *slot.last_stat.lock() = stat;
             slot.heartbeat_gauge.set(0);
             // Rejoin is safe: a restarted worker holds no partitions,
             // so anything it "held" surfaces as Missing and recovers.
@@ -612,7 +614,7 @@ fn probe(slot: &WorkerSlot, timeout: Duration) {
         Ok(_) | Err(_) => {
             mark_dead(slot);
             slot.heartbeat_gauge
-                .set(slot.last_heartbeat.lock().unwrap().elapsed().as_millis() as i64);
+                .set(slot.last_heartbeat.lock().elapsed().as_millis() as i64);
         }
     }
 }
@@ -797,7 +799,7 @@ impl RemoteJob<'_> {
         speculative: bool,
     ) -> sidr_mapreduce::Result<()> {
         {
-            let mut splits = self.splits.lock().unwrap();
+            let mut splits = self.splits.lock();
             if splits.len() <= task {
                 splits.resize(task + 1, (0, 0));
             }
@@ -805,7 +807,7 @@ impl RemoteJob<'_> {
         }
         let mut candidates = self.ranked_workers(Some(split));
         if speculative {
-            if let Some(&busy) = self.in_flight.lock().unwrap().get(&task) {
+            if let Some(&busy) = self.in_flight.lock().get(&task) {
                 if let Some(pos) = candidates.iter().position(|&i| i == busy) {
                     let demoted = candidates.remove(pos);
                     candidates.push(demoted);
@@ -825,7 +827,7 @@ impl RemoteJob<'_> {
             let started = Instant::now();
             slot.dispatching.fetch_add(1, Ordering::Relaxed);
             if !speculative {
-                self.in_flight.lock().unwrap().insert(task, idx);
+                self.in_flight.lock().insert(task, idx);
             }
             let result = call(
                 &slot.addr,
@@ -838,7 +840,7 @@ impl RemoteJob<'_> {
             );
             slot.dispatching.fetch_sub(1, Ordering::Relaxed);
             if !speculative {
-                let mut in_flight = self.in_flight.lock().unwrap();
+                let mut in_flight = self.in_flight.lock();
                 if in_flight.get(&task) == Some(&idx) {
                     in_flight.remove(&task);
                 }
@@ -854,7 +856,7 @@ impl RemoteJob<'_> {
                         .observe_duration(started.elapsed());
                     Counters::add(&counters.map_records_in, records_in);
                     Counters::add(&counters.map_records_out, records_out);
-                    self.placement.lock().unwrap().insert((task, attempt), idx);
+                    self.placement.lock().insert((task, attempt), idx);
                     return Ok(());
                 }
                 Ok(WorkerResponse::Failed { detail, fatal, .. }) => {
@@ -919,7 +921,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         // holder is already lost — report it without burning a
         // dispatch.
         let (locs, lost) = {
-            let placement = self.placement.lock().unwrap();
+            let placement = self.placement.lock();
             let mut locs = Vec::with_capacity(sources.len());
             let mut lost = Vec::new();
             for s in sources {
@@ -944,7 +946,7 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         // partitions (shuffle-local dispatch), then the rest.
         let mut holder_count: HashMap<usize, usize> = HashMap::new();
         {
-            let placement = self.placement.lock().unwrap();
+            let placement = self.placement.lock();
             for s in sources {
                 if let Some(&idx) = placement.get(&(s.map, s.epoch)) {
                     *holder_count.entry(idx).or_default() += 1;

@@ -250,6 +250,54 @@ fn fleet_output_is_byte_identical_to_single_process() {
     assert_eq!(map_attempts as usize, spec.splits.len());
 }
 
+/// Map faults fire inside the shared map record loop on whichever
+/// worker runs the attempt: an injected `Fail` dies before the split
+/// is opened, a `SourceError` dies mid-read. Each failed attempt is
+/// charged to the retry budget and retried — exactly once per fault,
+/// so only the faulted maps run a second attempt — and the output is
+/// byte-identical to the fault-free reference.
+///
+/// A test of its own: retried attempts count as re-executions in
+/// `reexecuted_maps`, which the fault-free fleet runs assert empty.
+#[test]
+fn worker_map_faults_retry_and_output_is_identical() {
+    let (spec, input) = tiny_fixture("mapfaults");
+    let expected = run_local(&spec, &input);
+    let faulted = vec![1usize, 4, 7];
+    let plan = FaultPlan::none()
+        .with(FaultTarget::Map(faulted[0]), 0, FaultKind::Fail)
+        .with(
+            FaultTarget::Map(faulted[1]),
+            0,
+            FaultKind::SourceError { after_records: 0 },
+        )
+        .with(
+            FaultTarget::Map(faulted[2]),
+            0,
+            FaultKind::SourceError { after_records: 5 },
+        );
+
+    let workers = spawn_workers(3);
+    let fleet = fleet_of(&workers);
+    let (result, got) = run_distributed(&workers, &fleet, &spec, &input, exec_opts(plan), |_| {});
+
+    assert_eq!(got, expected, "retried map faults must not change a byte");
+    let failures = faulted.len() as u64;
+    assert_eq!(result.counters.map_failures, failures);
+    assert_eq!(result.counters.map_retries, failures);
+    let failed_events: Vec<usize> = result
+        .events
+        .iter()
+        .filter(|e| e.kind == TaskKind::MapFailed)
+        .map(|e| e.task)
+        .collect();
+    assert_eq!(failed_events.len(), faulted.len());
+    assert_eq!(reexecuted_maps(&result.events), faulted);
+    // Every attempt ran on the fleet: one per map plus one per fault.
+    let map_attempts: u64 = workers.iter().map(|w| w.stat().map_attempts).sum();
+    assert_eq!(map_attempts, spec.splits.len() as u64 + failures);
+}
+
 /// Kill a worker while every reduce is mid-shuffle-fetch: recovery
 /// must re-execute exactly the maps the victim held — the union of
 /// the pending attempts' dependency sets `I_ℓ` — and the final output

@@ -18,15 +18,24 @@ fn run(cmd: &mut Command) -> (bool, String) {
     (out.status.success(), text)
 }
 
-fn temp_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("sidr-cli-test-{}", std::process::id()));
+/// A scratch directory of the calling test's own. Tests in one binary
+/// share a pid and run in parallel, so the tag and a per-process
+/// counter keep one test's cleanup from deleting another's files.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static N: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "sidr-cli-test-{tag}-{}-{}",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn full_cli_flow() {
-    let dir = temp_dir();
+    let dir = temp_dir("flow");
     let data = dir.join("t.scinc");
 
     // generate
@@ -107,7 +116,7 @@ fn simulate_prints_paper_scale_summary() {
 
 #[test]
 fn bad_inputs_fail_cleanly() {
-    let dir = temp_dir();
+    let dir = temp_dir("bad-inputs");
     // Unknown command.
     let (ok, text) = run(sidr().args(["frobnicate"]));
     assert!(!ok);
