@@ -18,7 +18,9 @@
 //! * [`partition`] — contiguous, skew-bounded partition geometry used
 //!   by `partition+` (§3.1, Fig. 7),
 //! * [`cover`] — slab-intersection and exact-cover checks used by the
-//!   static plan verifier to prove keyblocks tile `K′ᵀ`.
+//!   static plan verifier to prove keyblocks tile `K′ᵀ`,
+//! * [`walk`] — the order a RecordReader visits a split's cells:
+//!   instance by instance in `K′` order, row-major as the unit case.
 //!
 //! All public constructors validate dimensionality and return
 //! [`CoordError`] on mismatch; hot-path accessors assume validated
@@ -32,6 +34,7 @@ pub mod partition;
 pub mod shape;
 pub mod slab;
 pub mod tiling;
+pub mod walk;
 
 pub use coord::Coord;
 pub use cover::{exact_cover_defect, first_overlap, overlap_count, CoverDefect};
@@ -41,6 +44,7 @@ pub use partition::{choose_skew_shape, ContiguousPartition, KeyblockId, Keyblock
 pub use shape::Shape;
 pub use slab::Slab;
 pub use tiling::{PartialPolicy, Tiling};
+pub use walk::{SplitWalk, WalkOrder};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, CoordError>;

@@ -7,6 +7,7 @@ use std::ops::Index;
 
 use crate::coord::Coord;
 use crate::error::CoordError;
+use crate::slab::{Slab, SlabIter};
 use crate::Result;
 
 /// The extents of an n-dimensional space (e.g. `{365, 250, 200}` for
@@ -175,54 +176,11 @@ impl TryFrom<Vec<u64>> for Shape {
     }
 }
 
-/// Iterator over all coordinates of a shape in row-major order.
-///
-/// Yields `count()` coordinates; the last dimension varies fastest,
-/// matching [`Shape::linearize`].
-pub struct ShapeIter {
-    extents: Vec<u64>,
-    next: Option<Vec<u64>>,
-}
-
-impl ShapeIter {
-    pub(crate) fn new(shape: &Shape) -> Self {
-        ShapeIter {
-            extents: shape.extents().to_vec(),
-            next: Some(vec![0; shape.rank()]),
-        }
-    }
-}
-
-impl Iterator for ShapeIter {
-    type Item = Coord;
-
-    fn next(&mut self) -> Option<Coord> {
-        let current = self.next.take()?;
-        let mut succ = current.clone();
-        // Row-major increment: bump the last dimension, carrying left.
-        let mut dim = self.extents.len();
-        loop {
-            if dim == 0 {
-                // Carried past the first dimension: iteration complete.
-                self.next = None;
-                break;
-            }
-            dim -= 1;
-            succ[dim] += 1;
-            if succ[dim] < self.extents[dim] {
-                self.next = Some(succ);
-                break;
-            }
-            succ[dim] = 0;
-        }
-        Some(Coord::new(current))
-    }
-}
-
 impl Shape {
-    /// Iterates every coordinate of the space in row-major order.
-    pub fn iter_coords(&self) -> ShapeIter {
-        ShapeIter::new(self)
+    /// Iterates every coordinate of the space in row-major order (the
+    /// last dimension fastest, matching [`Shape::linearize`]).
+    pub fn iter_coords(&self) -> SlabIter {
+        Slab::whole(self).iter_coords()
     }
 }
 

@@ -155,8 +155,9 @@ impl Slab {
     /// (relative to the global space, i.e. absolute coordinates).
     pub fn iter_coords(&self) -> SlabIter {
         SlabIter {
-            corner: self.corner.clone(),
-            inner: self.shape.iter_coords(),
+            lo: self.corner.components().to_vec(),
+            hi: self.end().into_components(),
+            next: Some(self.corner.components().to_vec()),
         }
     }
 
@@ -212,20 +213,24 @@ impl fmt::Display for Slab {
     }
 }
 
-/// Row-major iterator over the absolute coordinates of a slab.
+/// Row-major iterator over the absolute coordinates of a slab. It
+/// advances its own odometer in place, so each coordinate costs the
+/// one allocation of the `Coord` it yields.
 pub struct SlabIter {
-    corner: Coord,
-    inner: crate::shape::ShapeIter,
+    lo: Vec<u64>,
+    hi: Vec<u64>,
+    next: Option<Vec<u64>>,
 }
 
 impl Iterator for SlabIter {
     type Item = Coord;
     fn next(&mut self) -> Option<Coord> {
-        let rel = self.inner.next()?;
-        Some(
-            rel.checked_add(&self.corner)
-                .expect("slab end checked at construction"),
-        )
+        let cur = self.next.as_mut()?;
+        let out = Coord::from(cur.as_slice());
+        if !crate::walk::advance(cur, &self.lo, &self.hi) {
+            self.next = None;
+        }
+        Some(out)
     }
 }
 

@@ -145,8 +145,9 @@ impl SpecExecutor {
             std::thread::sleep(Duration::from_millis(delay_ms));
         }
         let mut builder = MapOutputBuilder::new(self.spec.num_reducers);
+        let order = self.mapper.walk_order();
         let (records_in, records_out) = map_records(
-            || ScincRecordSource::<E>::open(&self.file, &self.variable, split),
+            || ScincRecordSource::<E>::open_in_order(&self.file, &self.variable, split, &order),
             &self.mapper,
             &self.plan,
             &mut builder,

@@ -20,7 +20,7 @@ use sidr_scifile::{DataType, Element, ScincFile};
 use crate::operators::OperatorReducer;
 use crate::plan::SidrPlanner;
 use crate::query::StructuralQuery;
-use crate::source::{scinc_source_factory, StructuralMapper};
+use crate::source::{ordered_source_factory, StructuralMapper};
 use crate::spec::JobSpec;
 use crate::{Result, SidrError};
 
@@ -201,7 +201,7 @@ fn run_typed<E: Element>(
         speculation: SpeculationPolicy::default(),
         progress: None,
     };
-    let source_factory = scinc_source_factory::<E>(file, &query.variable);
+    let source_factory = ordered_source_factory::<E>(file, &query.variable, mapper.walk_order());
 
     let (result, reducer_key_counts) = match opts.mode {
         FrameworkMode::Hadoop | FrameworkMode::SciHadoop => {
@@ -419,7 +419,7 @@ fn run_spec_typed<E: Element>(
         volatile_intermediate: matches!(executor, Executor::Remote(_)),
         ..Default::default()
     };
-    let source_factory = scinc_source_factory::<E>(file, &query.variable);
+    let source_factory = ordered_source_factory::<E>(file, &query.variable, mapper.walk_order());
     Ok(run_job_with_executor(
         &spec.splits,
         &source_factory,

@@ -8,8 +8,15 @@
 //! Structural queries do all value computation in the Reduce operator,
 //! so one input record produces at most one intermediate record,
 //! which is the contract the count annotations rely on (§3.2.1).
+//!
+//! The structural map sites read each split in the mapper's
+//! [`StructuralMapper::walk_order`]: instance by instance in `K′`
+//! row-major order. Every partition then receives its records already
+//! sorted by key, so the map side's stable sort only confirms one run,
+//! and each key's values keep their row-major order, so the output is
+//! the one a row-major read gives (see DESIGN.md, "Map record order").
 
-use sidr_coords::{Coord, ExtractionShape};
+use sidr_coords::{Coord, ExtractionShape, WalkOrder};
 use sidr_mapreduce::{InputSplit, MapTaskId, Mapper, MrError, RecordSource};
 use sidr_scifile::{Element, ScincFile, SlabRecordReader};
 
@@ -20,12 +27,28 @@ pub struct ScincRecordSource<'f, E: Element> {
 }
 
 impl<'f, E: Element> ScincRecordSource<'f, E> {
+    /// Opens the split for a row-major read.
     pub fn open(
         file: &'f ScincFile,
         variable: &str,
         split: &InputSplit,
     ) -> sidr_mapreduce::Result<Self> {
-        let inner = SlabRecordReader::new(file, variable, split.slab.clone())
+        Self::open_in_order(
+            file,
+            variable,
+            split,
+            &WalkOrder::row_major(split.slab.rank()),
+        )
+    }
+
+    /// Opens the split for a read in `order` (every cell once).
+    pub fn open_in_order(
+        file: &'f ScincFile,
+        variable: &str,
+        split: &InputSplit,
+        order: &WalkOrder,
+    ) -> sidr_mapreduce::Result<Self> {
+        let inner = SlabRecordReader::in_order(file, variable, split.slab.clone(), order)
             .map_err(|e| MrError::Source(e.to_string()))?;
         Ok(ScincRecordSource { inner })
     }
@@ -48,13 +71,26 @@ impl<E: Element> RecordSource for ScincRecordSource<'_, E> {
     }
 }
 
-/// A factory closure for the engine: opens one source per Map task.
+/// A factory closure for the engine: opens one row-major source per
+/// Map task.
 pub fn scinc_source_factory<'f, E: Element>(
     file: &'f ScincFile,
     variable: &'f str,
 ) -> impl Fn(MapTaskId, &InputSplit) -> sidr_mapreduce::Result<ScincRecordSource<'f, E>> + Sync + 'f
 {
     move |_id, split| ScincRecordSource::open(file, variable, split)
+}
+
+/// A factory closure for the engine: opens one source per Map task,
+/// walking each split in `order` — a [`StructuralMapper::walk_order`]
+/// makes that mapper's emissions born sorted.
+pub fn ordered_source_factory<'f, E: Element>(
+    file: &'f ScincFile,
+    variable: &'f str,
+    order: WalkOrder,
+) -> impl Fn(MapTaskId, &InputSplit) -> sidr_mapreduce::Result<ScincRecordSource<'f, E>> + Sync + 'f
+{
+    move |_id, split| ScincRecordSource::open_in_order(file, variable, split, &order)
 }
 
 /// The structural Map function: `emit(extraction.map_key(k), v)`.
@@ -122,6 +158,20 @@ impl StructuralMapper {
     pub fn push_down_filter(mut self, threshold: f64) -> Self {
         self.predicate_gt = Some(threshold);
         self
+    }
+
+    /// The split walk under which this mapper's emissions are born
+    /// sorted: instance by instance over its extraction, in `K′`
+    /// row-major order, placed at the query region's corner. Corner
+    /// keys are `k′ · stride`, monotone in `k′`, and the push-down
+    /// filter only drops records, so both keep the order.
+    pub fn walk_order(&self) -> WalkOrder {
+        let tiling = self.extraction.tiling();
+        let origin = self
+            .region_corner
+            .clone()
+            .unwrap_or_else(|| Coord::origin(tiling.space().rank()));
+        WalkOrder::instances(tiling, &origin).expect("region corner has the extraction's rank")
     }
 }
 

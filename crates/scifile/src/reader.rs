@@ -7,51 +7,49 @@
 //! produced are exactly the coordinates of the slab: `Iᵢ ≡ K_Tᵢ`
 //! (§2.4.1), the equivalence SIDR's Area-1 resolution rests on.
 
-use sidr_coords::{Coord, Shape, Slab};
+use sidr_coords::{Coord, Shape, Slab, SplitWalk, WalkOrder};
 
 use crate::file::ScincFile;
 use crate::value::Element;
 use crate::Result;
 
-/// Streams `(Coord, E)` records of one slab of one variable, in
-/// row-major order, reading the file in bounded chunks.
+/// Streams `(Coord, E)` records of one slab of one variable in the
+/// order of a [`WalkOrder`] — row-major unless asked otherwise —
+/// reading the file one band at a time so memory stays bounded by a
+/// band, never the whole slab (see [`sidr_coords::walk`]).
 pub struct SlabRecordReader<'f, E: Element> {
     file: &'f ScincFile,
     variable: String,
     slab: Slab,
-    /// Outer-row chunks: the slab is processed one leading-dimension
-    /// row at a time so memory stays bounded by one row.
-    chunks: Vec<Slab>,
-    next_chunk: usize,
-    current: Vec<E>,
-    current_coords: Option<sidr_coords::slab::SlabIter>,
-    pos_in_chunk: usize,
+    walk: SplitWalk,
+    /// The current band's values, row-major.
+    band: Vec<E>,
     produced: u64,
 }
 
 impl<'f, E: Element> SlabRecordReader<'f, E> {
-    /// Opens a reader over `slab` of `variable`.
+    /// Opens a row-major reader over `slab` of `variable`.
     pub fn new(file: &'f ScincFile, variable: &str, slab: Slab) -> Result<Self> {
-        // Chunk along the leading dimension to bound memory.
-        let rows = slab.shape()[0];
-        let chunks = slab.split_along_longest(rows.min(64));
-        // split_along_longest may pick a non-leading dim; that is fine
-        // — chunks are disjoint, cover the slab, and are iterated in
-        // order. For row-major *global* order we only need the chunk
-        // list sorted by corner, which split_along_longest guarantees
-        // when splitting the longest dimension. Record order within a
-        // Map task does not affect MapReduce correctness (§2.3), so a
-        // permuted chunk order would still be correct; we sort anyway
-        // so tests can rely on deterministic output.
+        let order = WalkOrder::row_major(slab.rank());
+        Self::in_order(file, variable, slab, &order)
+    }
+
+    /// Opens a reader over `slab` of `variable` that yields its cells
+    /// instance by instance in `order`. Every cell still comes exactly
+    /// once; only the order differs from [`SlabRecordReader::new`].
+    pub fn in_order(
+        file: &'f ScincFile,
+        variable: &str,
+        slab: Slab,
+        order: &WalkOrder,
+    ) -> Result<Self> {
+        let walk = SplitWalk::new(&slab, order)?;
         Ok(SlabRecordReader {
             file,
             variable: variable.to_string(),
             slab,
-            chunks,
-            next_chunk: 0,
-            current: Vec::new(),
-            current_coords: None,
-            pos_in_chunk: 0,
+            walk,
+            band: Vec::new(),
             produced: 0,
         })
     }
@@ -71,32 +69,16 @@ impl<'f, E: Element> SlabRecordReader<'f, E> {
         self.slab.count()
     }
 
-    fn load_next_chunk(&mut self) -> Result<bool> {
-        if self.next_chunk >= self.chunks.len() {
-            return Ok(false);
-        }
-        let chunk = self.chunks[self.next_chunk].clone();
-        self.next_chunk += 1;
-        self.current = self.file.read_slab::<E>(&self.variable, &chunk)?;
-        self.current_coords = Some(chunk.iter_coords());
-        self.pos_in_chunk = 0;
-        Ok(true)
-    }
-
     /// Reads the next record, or `None` at end of split.
     pub fn next_record(&mut self) -> Result<Option<(Coord, E)>> {
         loop {
-            if let Some(iter) = &mut self.current_coords {
-                if let Some(coord) = iter.next() {
-                    let value = self.current[self.pos_in_chunk];
-                    self.pos_in_chunk += 1;
-                    self.produced += 1;
-                    return Ok(Some((coord, value)));
-                }
-                self.current_coords = None;
+            if let Some((coord, offset)) = self.walk.next_cell() {
+                self.produced += 1;
+                return Ok(Some((Coord::from(coord), self.band[offset])));
             }
-            if !self.load_next_chunk()? {
-                return Ok(None);
+            match self.walk.next_band() {
+                Some(band) => self.band = self.file.read_slab::<E>(&self.variable, &band)?,
+                None => return Ok(None),
             }
         }
     }

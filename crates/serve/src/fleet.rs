@@ -37,7 +37,7 @@ use sidr_dfs::{DfsConfig, FileId, NameNode, NodeId};
 use sidr_mapreduce::executor::{ReduceSource, RemoteReduceError, TaskExecutor};
 // The workspace sync facade (parking_lot in normal builds): a panic on
 // a heartbeat or dispatch thread cannot poison the coordinator's locks.
-use sidr_mapreduce::sync::Mutex;
+use sidr_mapreduce::sync::{Condvar, Mutex};
 use sidr_mapreduce::{Counters, InputSplit, MapTaskId, MrError};
 use sidr_obs::{global, Counter, Gauge, Histogram};
 
@@ -437,7 +437,7 @@ impl Fleet {
                     let now = Instant::now();
                     for (i, slot) in slots.iter().enumerate() {
                         if now >= due[i] {
-                            probe(slot, timeout);
+                            guarded_probe(slot, timeout);
                             due[i] = now + every;
                         }
                     }
@@ -451,7 +451,7 @@ impl Fleet {
 
     fn probe_all(&self, timeout: Duration) {
         for slot in &self.slots {
-            probe(slot, timeout);
+            guarded_probe(slot, timeout);
         }
     }
 
@@ -544,6 +544,7 @@ impl Fleet {
                 .into(),
             placement: Mutex::new(HashMap::new()),
             in_flight: Mutex::new(HashMap::new()),
+            placed: Condvar::new(),
             splits: Mutex::new(Vec::new()),
         })
     }
@@ -579,6 +580,58 @@ fn addr_jitter(addr: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Armed coordinator-side panics (test hook): task dispatches and
+/// heartbeat probes that panic on entry.
+static DISPATCH_PANICS: AtomicU64 = AtomicU64::new(0);
+static HEARTBEAT_PANICS: AtomicU64 = AtomicU64::new(0);
+
+/// Arms the next `dispatch` task dispatches and `heartbeat` heartbeat
+/// probes in this process to panic on entry. Each is caught at its
+/// boundary — a panicked dispatch is a retryable attempt failure, a
+/// panicked probe skips one heartbeat — and the coordinator's locks
+/// come from the poison-free sync facade, so it keeps admitting and
+/// completing jobs, which the regression test asserts. Returns how
+/// many of the previously armed panics had not fired yet.
+#[doc(hidden)]
+pub fn inject_coordinator_panics(dispatch: u64, heartbeat: u64) -> (u64, u64) {
+    (
+        DISPATCH_PANICS.swap(dispatch, Ordering::SeqCst),
+        HEARTBEAT_PANICS.swap(heartbeat, Ordering::SeqCst),
+    )
+}
+
+fn take_armed_panic(armed: &AtomicU64) {
+    if armed
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+        .is_ok()
+    {
+        panic!("injected coordinator panic (test hook)");
+    }
+}
+
+/// Runs `f`, turning a panic into a description of it.
+fn catch_panic<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let cause = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        format!("{what} panicked on the coordinator: {cause}")
+    })
+}
+
+/// One heartbeat probe behind a panic boundary: a panicking probe
+/// costs this round for this worker, not the heartbeat thread.
+fn guarded_probe(slot: &WorkerSlot, timeout: Duration) {
+    if let Err(detail) = catch_panic("heartbeat probe", || {
+        take_armed_panic(&HEARTBEAT_PANICS);
+        probe(slot, timeout)
+    }) {
+        eprintln!("worker {}: {detail}", slot.addr);
+    }
 }
 
 /// One liveness probe: dial, handshake, `Ping`, read `Pong`.
@@ -714,6 +767,21 @@ fn call(
     conn.recv()
 }
 
+/// Where a map's primary attempt runs, as twin placement sees it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Primary {
+    /// Dispatched to this fleet slot and not yet returned.
+    On(usize),
+    /// The latest primary attempt has returned.
+    Returned,
+}
+
+/// How long a speculative twin waits for its primary to record a
+/// worker. The engine may grant a twin as soon as the primary's
+/// `MapStart` is logged, a moment before the primary has ranked its
+/// candidates.
+const PRIMARY_PLACEMENT_WAIT: Duration = Duration::from_millis(500);
+
 /// One job's remote executor: implements the engine's
 /// [`TaskExecutor`] seam by dispatching attempts to the fleet and
 /// tracking which worker holds each committed map generation.
@@ -726,10 +794,12 @@ pub struct RemoteJob<'f> {
     prepared: Box<[bool]>,
     /// `(map, epoch)` → fleet slot index of the holder.
     placement: Mutex<HashMap<(usize, u32), usize>>,
-    /// map → fleet slot currently executing its *primary* attempt.
-    /// Speculative dispatch reads this to place the twin on a
-    /// different worker than the straggler.
-    in_flight: Mutex<HashMap<usize, usize>>,
+    /// map → where its *primary* attempt is. Speculative dispatch
+    /// reads this to place the twin on a different worker than the
+    /// straggler.
+    in_flight: Mutex<HashMap<usize, Primary>>,
+    /// Notified whenever a primary records its worker in `in_flight`.
+    placed: Condvar,
     /// Split byte ranges, captured at first dispatch for locality
     /// ranking.
     splits: Mutex<Vec<(u64, u64)>>,
@@ -785,6 +855,46 @@ impl RemoteJob<'_> {
 }
 
 impl RemoteJob<'_> {
+    /// The worker running `task`'s primary attempt, waiting up to
+    /// [`PRIMARY_PLACEMENT_WAIT`] for a primary that has started but
+    /// not yet recorded its choice. `None` once the primary returned.
+    fn primary_worker(&self, task: MapTaskId) -> Option<usize> {
+        let deadline = Instant::now() + PRIMARY_PLACEMENT_WAIT;
+        let mut in_flight = self.in_flight.lock();
+        loop {
+            match in_flight.get(&task) {
+                Some(Primary::On(idx)) => return Some(*idx),
+                Some(Primary::Returned) => return None,
+                None => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.placed.wait_for(&mut in_flight, left);
+                }
+            }
+        }
+    }
+
+    /// Map dispatch behind the coordinator's panic boundary: a panic
+    /// while dispatching is a retryable attempt failure, as a panicked
+    /// attempt is on a worker, instead of unwinding through the
+    /// engine and leaving the job's other tasks waiting on this one.
+    fn guarded_dispatch_map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        split: &InputSplit,
+        counters: &Counters,
+        speculative: bool,
+    ) -> sidr_mapreduce::Result<()> {
+        catch_panic(&format!("map {task} dispatch"), || {
+            take_armed_panic(&DISPATCH_PANICS);
+            self.dispatch_map(task, attempt, split, counters, speculative)
+        })
+        .unwrap_or_else(|detail| Err(MrError::Source(detail)))
+    }
+
     /// Shared body of map dispatch. A speculative twin demotes the
     /// worker currently running the primary attempt to the *back* of
     /// the locality-ranked candidate list: racing on the machine that
@@ -805,15 +915,26 @@ impl RemoteJob<'_> {
             }
             splits[task] = split.byte_range;
         }
-        let mut candidates = self.ranked_workers(Some(split));
-        if speculative {
-            if let Some(&busy) = self.in_flight.lock().get(&task) {
+        let candidates = if speculative {
+            let mut candidates = self.ranked_workers(Some(split));
+            if let Some(busy) = self.primary_worker(task) {
                 if let Some(pos) = candidates.iter().position(|&i| i == busy) {
                     let demoted = candidates.remove(pos);
                     candidates.push(demoted);
                 }
             }
-        }
+            candidates
+        } else {
+            // Rank and record the choice under one lock, so a twin
+            // never sees the primary between the two.
+            let mut in_flight = self.in_flight.lock();
+            let candidates = self.ranked_workers(Some(split));
+            if let Some(&first) = candidates.first() {
+                in_flight.insert(task, Primary::On(first));
+                self.placed.notify_all();
+            }
+            candidates
+        };
         if candidates.is_empty() {
             return Err(MrError::Source("no live workers for map dispatch".into()));
         }
@@ -827,7 +948,7 @@ impl RemoteJob<'_> {
             let started = Instant::now();
             slot.dispatching.fetch_add(1, Ordering::Relaxed);
             if !speculative {
-                self.in_flight.lock().insert(task, idx);
+                self.in_flight.lock().insert(task, Primary::On(idx));
             }
             let result = call(
                 &slot.addr,
@@ -841,8 +962,8 @@ impl RemoteJob<'_> {
             slot.dispatching.fetch_sub(1, Ordering::Relaxed);
             if !speculative {
                 let mut in_flight = self.in_flight.lock();
-                if in_flight.get(&task) == Some(&idx) {
-                    in_flight.remove(&task);
+                if in_flight.get(&task) == Some(&Primary::On(idx)) {
+                    in_flight.insert(task, Primary::Returned);
                 }
             }
             match result {
@@ -886,30 +1007,9 @@ impl RemoteJob<'_> {
             "map {task}: every candidate worker died during dispatch"
         )))
     }
-}
 
-impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
-    fn execute_map(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        split: &InputSplit,
-        counters: &Counters,
-    ) -> sidr_mapreduce::Result<()> {
-        self.dispatch_map(task, attempt, split, counters, false)
-    }
-
-    fn execute_map_speculative(
-        &self,
-        task: MapTaskId,
-        attempt: u32,
-        split: &InputSplit,
-        counters: &Counters,
-    ) -> sidr_mapreduce::Result<()> {
-        self.dispatch_map(task, attempt, split, counters, true)
-    }
-
-    fn execute_reduce(
+    /// Shared body of reduce dispatch.
+    fn dispatch_reduce(
         &self,
         reducer: usize,
         attempt: u32,
@@ -1022,6 +1122,56 @@ impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
         Err(RemoteReduceError::AttemptFailed(
             "every candidate worker died during reduce dispatch".into(),
         ))
+    }
+}
+
+impl TaskExecutor<Coord, f64> for RemoteJob<'_> {
+    fn execute_map(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        split: &InputSplit,
+        counters: &Counters,
+    ) -> sidr_mapreduce::Result<()> {
+        self.guarded_dispatch_map(task, attempt, split, counters, false)
+    }
+
+    fn execute_map_speculative(
+        &self,
+        task: MapTaskId,
+        attempt: u32,
+        split: &InputSplit,
+        counters: &Counters,
+    ) -> sidr_mapreduce::Result<()> {
+        self.guarded_dispatch_map(task, attempt, split, counters, true)
+    }
+
+    fn execute_reduce(
+        &self,
+        reducer: usize,
+        attempt: u32,
+        sources: &[ReduceSource],
+        expected_raw: Option<u64>,
+        emit: &mut dyn FnMut(Vec<(Coord, f64)>) -> sidr_mapreduce::Result<()>,
+    ) -> Result<u64, RemoteReduceError> {
+        let mut streamed = false;
+        let mut tracked = |records: Vec<(Coord, f64)>| {
+            streamed = true;
+            emit(records)
+        };
+        let outcome = catch_panic(&format!("reduce {reducer} dispatch"), || {
+            take_armed_panic(&DISPATCH_PANICS);
+            self.dispatch_reduce(reducer, attempt, sources, expected_raw, &mut tracked)
+        });
+        match outcome {
+            Ok(result) => result,
+            // Groups already streamed cannot be retried atomically.
+            Err(detail) if streamed => Err(RemoteReduceError::Fatal(MrError::TaskFailed {
+                task: format!("reduce {reducer}"),
+                cause: detail,
+            })),
+            Err(detail) => Err(RemoteReduceError::AttemptFailed(detail)),
+        }
     }
 }
 
